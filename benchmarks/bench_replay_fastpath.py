@@ -1,4 +1,4 @@
-"""Characterization-matrix fast path: vectorized kernels + fused replay
+"""Characterization-matrix fast path: vectorized kernels + the LRU core
 vs. loop kernels + reference simulators.
 
 The fast path has two layers, both exact:
@@ -8,25 +8,26 @@ The fast path has two layers, both exact:
   per-element tracer calls.  The frozen trace is **per-element identical**
   to the loop kernels' (address stream, branch sites, instruction counts,
   region visits), so everything downstream is unchanged by construction.
-* **Fused replay engines** — one pass over the trace instead of one pass
-  per simulated structure: the CPU hierarchy + DTLB
-  (:func:`repro.arch.replay.replay`), the branch predictors
-  (``simulate_branches(fast=True)``), the multicore private/shared
-  hierarchy (``simulate_multicore(fast=True)``) and the SIMT L2
-  accounting (``KernelAccum(fused=True)``), each cross-validated bitwise
-  against the loop reference it replaces.
+* **One compiled LRU core** (:mod:`repro.arch.lru`) behind every cache
+  walk: the CPU hierarchy + DTLB (:func:`repro.arch.replay.replay`), the
+  multicore private/shared hierarchy (:func:`repro.parallel.trace_sim.
+  simulate_multicore`) and the SIMT L2 (:class:`repro.gpu.simt.
+  KernelAccum`), plus the branch predictors' segmented scan
+  (``simulate_branches(fast=True)``), each cross-validated bitwise
+  against the dict-based :class:`~repro.arch.cache.Cache` reference it
+  replaces.
 
 Three things are measured and asserted:
 
 1. **Equivalence gate** — for every workload x machine cell the fast
    configuration (vectorized kernels + content-addressed
-   :class:`TraceStore` + fused engines) must report the *identical*
+   :class:`TraceStore` + LRU core) must report the *identical*
    metric summary the baseline (loop kernels re-executed per cell,
    reference multi-pass simulators) reports.  No tolerance: same dict,
    same bits.
-2. **Engine gates** — fused CPU replay miss masks, fused multicore
-   stats and fused SIMT stats must match their references bit for bit
-   on a real workload trace.
+2. **Engine gates** — CPU replay miss masks, multicore stats and SIMT
+   stats on the core must match their ``Cache.simulate``-based
+   references bit for bit on a real workload trace.
 3. **Sweep speedup** — wall-clock for the full workloads x machines
    characterization sweep, fast vs. baseline.  Acceptance floor: **10x**
    at the standard scale (0.08); 2x at smoke scales, where fixed
@@ -62,7 +63,8 @@ from repro.core.tracestore import TraceStore
 from repro.datagen.registry import make as make_dataset
 from repro.harness import format_table
 from repro.harness.runner import clear_cache, run_cpu_workload
-from repro.parallel.trace_sim import simulate_multicore
+from repro.parallel.trace_sim import (simulate_multicore,
+                                      simulate_multicore_reference)
 from repro.workloads._bulk import loop_reference_kernels
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.08"))
@@ -83,9 +85,9 @@ def _machines() -> list[MachineConfig]:
 
     Five of the variants perturb only the L3 (the axis the paper's LLC
     discussion cares about: Fig. 7's MPKI is LLC-bound); two perturb the
-    L2.  Sweeping the LLC axis densely is exactly the workload the fused
-    replay engine amortizes: one trace execution, one L1/L2 walk, then a
-    marginal L3-only walk per extra machine.
+    L2.  Sweeping the LLC axis densely is exactly the workload the trace
+    store amortizes: one trace execution, then one compiled replay per
+    machine.
     """
     base = SCALED_XEON
     variants = [base]
@@ -121,8 +123,8 @@ def _sweep(spec, machines, *, trace_store, fast):
 
 
 def _bitwise_gate(trace, machines) -> int:
-    """Fused CPU engine vs. reference simulators on a real workload trace:
-    per-access miss masks and latency must match bit for bit."""
+    """CPU replay on the core vs. reference simulators on a real workload
+    trace: per-access miss masks and latency must match bit for bit."""
     checked = 0
     for m in machines:
         rep = replay(trace.addrs, trace.rw, m)
@@ -143,21 +145,22 @@ def _bitwise_gate(trace, machines) -> int:
 
 
 def _multicore_gate(trace, machine) -> int:
-    """Fused multicore engine vs. the per-core multi-pass reference:
+    """Multicore replay on the core vs. the per-core multi-pass reference:
     aggregate L1/L2 and shared-L3 stats must be identical."""
     checked = 0
     for p in (1, 2, 4):
-        fused = simulate_multicore(trace, machine, p=p, fast=True)
-        ref = simulate_multicore(trace, machine, p=p, fast=False)
-        assert fused == ref, (p, fused, ref)
+        core = simulate_multicore(trace, machine, p=p)
+        ref = simulate_multicore_reference(trace, machine, p=p)
+        assert core == ref, (p, core, ref)
         checked += 1
     return checked
 
 
 def _gpu_gate(spec) -> int:
-    """Fused (deferred, MRU-prefiltered) SIMT L2 accounting vs. the
-    inline reference, across every GPU kernel: identical KernelStats."""
+    """SIMT L2 accounting on the core vs. the dict-based reference L2,
+    across every GPU kernel: identical KernelStats."""
     from repro.gpu.device import K40
+    from repro.gpu.kernels.base import run_reference
     from repro.gpu.runner import GPU_KERNELS, UNDIRECTED_KERNELS, csr_to_coo
     checked = 0
     for name, cls in sorted(GPU_KERNELS.items()):
@@ -165,9 +168,9 @@ def _gpu_gate(spec) -> int:
         if name in UNDIRECTED_KERNELS:
             csr = csr.undirected()
         coo = csr_to_coo(csr)
-        _, fused = cls().run(csr, coo, l2_bytes=K40.l2_bytes, fused=True)
-        _, ref = cls().run(csr, coo, l2_bytes=K40.l2_bytes, fused=False)
-        assert dataclasses.asdict(fused) == dataclasses.asdict(ref), name
+        _, core = cls().run(csr, coo, l2_bytes=K40.l2_bytes)
+        _, ref = run_reference(cls(), csr, coo, l2_bytes=K40.l2_bytes)
+        assert dataclasses.asdict(core) == dataclasses.asdict(ref), name
         checked += 1
     return checked
 
@@ -223,7 +226,7 @@ def run_replay_benchmark() -> dict:
 def _render(results: dict) -> str:
     rows = [["baseline (loop kernels + reference sims)",
              results["baseline_s"], "1.0x"],
-            ["fast (vectorized kernels + fused replay)",
+            ["fast (vectorized kernels + LRU core)",
              results["fastpath_s"], f"{results['speedup']:.1f}x"]]
     return format_table(
         ["configuration", "sweep_s", "speedup"], rows,

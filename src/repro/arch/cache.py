@@ -1,14 +1,16 @@
-"""Set-associative LRU cache simulator.
+"""Set-associative LRU cache: geometry, counters and the reference
+simulator.
 
-The workhorse of the CPU characterization: replays a byte-address trace
+The workhorse of the CPU characterization replays a byte-address trace
 through a cache level and returns the per-access hit/miss mask, from which
-the harness derives MPKI (Fig. 7) and hit rates (Fig. 9).
+the harness derives MPKI (Fig. 7) and hit rates (Fig. 9).  Production
+walks run on the compiled core in :mod:`repro.arch.lru`; this module
+keeps two independent implementations, cross-validated against it by
+tests:
 
-Two implementations are provided and cross-validated by tests:
-
-* :meth:`Cache.simulate` — fast path: per-set insertion-ordered dicts
-  emulating true LRU (Python dicts preserve insertion order; re-inserting a
-  tag moves it to MRU position).
+* :meth:`Cache.simulate` — the oracle: per-set insertion-ordered dicts
+  emulating true LRU (Python dicts preserve insertion order; re-inserting
+  a tag moves it to MRU position).
 * :func:`repro.arch.stackdist.stack_distances` — Fenwick-tree LRU stack
   distances; hit iff distance < associativity.  Used for associativity
   sweeps (one pass answers all associativities).
@@ -24,8 +26,8 @@ import numpy as np
 def line_ids(addrs: np.ndarray, line: int) -> np.ndarray:
     """Byte addresses -> line (or page) ids, as a uint64 array.
 
-    Computed once by the hierarchy / fused replay engine and shared across
-    levels with the same line size instead of re-dividing per level.
+    Computed once per replay and shared across levels with the same line
+    size instead of re-dividing per level.
     """
     addrs = np.asarray(addrs, dtype=np.uint64)
     if line & (line - 1) == 0:

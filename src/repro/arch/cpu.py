@@ -158,24 +158,26 @@ class CPUModel:
         footprint_bytes:
             Heap footprint of the run (reported, not simulated).
         fast:
-            Replay the hierarchy + DTLB through the fused one-pass engine
-            (:mod:`repro.arch.replay`).  Bitwise-identical to the
-            multi-pass reference simulators, which ``fast=False`` keeps
-            available as the cross-validation oracle.
+            Replay the hierarchy + DTLB through the LRU core
+            (:func:`repro.arch.replay.replay`) and run the branch
+            predictor's segmented scan.  ``fast=False`` runs the
+            reference simulators instead (the dict-based
+            :class:`MemoryHierarchy`/:class:`TLB` and the sequential
+            predictors), the cross-validation oracle.
         memo:
             Optional per-*trace* scratch dict, shared across the machine
             configs of a sensitivity sweep.  Sub-results that do not
-            depend on the dimension being swept — branch prediction
-            (keyed by predictor kind/bits), the ICache stats (keyed by
-            its config and ``stack_depth``), and the replay engine's
-            line/page-id precompute — are computed once per sweep.  Only
-            used on the ``fast`` path; the reference path never memoizes.
+            depend on the cache geometry being swept — branch prediction
+            (keyed by predictor kind/bits) and the ICache stats (keyed
+            by its config and ``stack_depth``) — are computed once per
+            sweep.  Only used on the ``fast`` path; the reference path
+            never memoizes.
         """
         m = self.machine
         if not fast:
             memo = None
         if fast:
-            rep = replay(trace.addrs, trace.rw, m, id_cache=memo)
+            rep = replay(trace.addrs, trace.rw, m)
             hier = rep.hierarchy
             tlb_stats = rep.tlb
         else:
@@ -196,8 +198,7 @@ class CPUModel:
         if memo is not None and ikey in memo:
             ic = memo[ikey]
         else:
-            ic = ICache(m.icache).simulate(trace, stack_depth=stack_depth,
-                                           fast=fast)
+            ic = ICache(m.icache).simulate(trace, stack_depth=stack_depth)
             if memo is not None:
                 memo[ikey] = ic
 

@@ -126,6 +126,8 @@ class SnapshotStore:
         self._pins: dict[int, int] = {}
         self._n_alive = 0                # vertices alive at head
         self._m_alive = 0                # arcs alive at head
+        # (vertices, arcs) alive at every retained version
+        self._sizes: dict[int, tuple[int, int]] = {0: (0, 0)}
         self.stats = StoreStats()
 
     # -- construction --------------------------------------------------------
@@ -148,6 +150,7 @@ class SnapshotStore:
             store._open_arc(s, d, 0)
             if not directed:
                 store._open_arc(d, s, 0)
+        store._record_sizes()
         return store
 
     @classmethod
@@ -177,6 +180,8 @@ class SnapshotStore:
         for vid, name, value in state.get("props", ()):
             store._props.setdefault(int(vid), {})[str(name)] = \
                 [(v, value)]
+        store._sizes = {}
+        store._record_sizes()
         return store
 
     def export_state(self) -> dict[str, Any]:
@@ -293,6 +298,7 @@ class SnapshotStore:
             self.head = v
             self._head_at = self._clock()
             self._deltas[v] = delta
+            self._record_sizes()
             self.stats.commits += 1
             self.stats.ops_applied += len(ops) - skipped
             self.stats.ops_skipped += skipped
@@ -437,6 +443,11 @@ class SnapshotStore:
             if history and history[-1][0] == v:
                 history.pop()
 
+    def _record_sizes(self) -> None:
+        """Record the head's alive counts (the O(1) answer a snapshot
+        pinned at the head gives for its graph size from then on)."""
+        self._sizes[self.head] = (self._n_alive, self._m_alive)
+
     def _vertex_alive(self, vid: int) -> bool:
         return _alive_now(self._vspans.get(vid, []))
 
@@ -562,6 +573,8 @@ class SnapshotStore:
                     del history[:base_idx]
         for v in range(self.floor + 1, new_floor + 1):
             self._deltas.pop(v, None)
+        for v in range(self.floor, new_floor):
+            self._sizes.pop(v, None)
         self.floor = new_floor
         self.stats.compactions += 1
         self.stats.spans_folded += folded
@@ -619,18 +632,17 @@ class Snapshot:
 
     @property
     def n_vertices(self) -> int:
+        """Vertices alive at the pinned version (recorded at commit)."""
         st = self._store
         with st._lock:
-            return sum(1 for spans in st._vspans.values()
-                       if _alive_at(spans, self.version))
+            return st._sizes[self.version][0]
 
     @property
     def n_arcs(self) -> int:
+        """Arcs alive at the pinned version (recorded at commit)."""
         st = self._store
         with st._lock:
-            return sum(1 for row in st._out.values()
-                       for spans in row.values()
-                       if _alive_at(spans, self.version))
+            return st._sizes[self.version][1]
 
     def vget(self, vid: int, name: str, default: Any = None) -> Any:
         st = self._store

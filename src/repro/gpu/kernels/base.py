@@ -20,7 +20,7 @@ import numpy as np
 
 from ...formats.coo import COOGraph
 from ...formats.csr import CSRGraph
-from ..simt import KernelAccum, KernelStats, warp_of
+from ..simt import KernelAccum, KernelStats, ReferenceKernelAccum, warp_of
 
 
 class GPUKernel(ABC):
@@ -30,11 +30,10 @@ class GPUKernel(ABC):
     MODEL: str = "thread-centric"       # or "edge-centric"
 
     def run(self, csr: CSRGraph, coo: COOGraph | None = None,
-            l2_bytes: int = 32 * 1024, fused: bool = True,
+            l2_bytes: int = 32 * 1024,
             **params: Any) -> tuple[dict[str, Any], KernelStats]:
-        """Execute the kernel; ``fused=False`` forces the inline
-        reference L2 accounting (the cross-validation oracle)."""
-        acc = KernelAccum(l2_bytes=l2_bytes, fused=fused)
+        """Execute the kernel with a ``l2_bytes`` device L2."""
+        acc = KernelAccum(l2_bytes=l2_bytes)
         outputs = self.kernel(csr, coo, acc, **params)
         return outputs, acc.stats
 
@@ -42,6 +41,16 @@ class GPUKernel(ABC):
     def kernel(self, csr: CSRGraph, coo: COOGraph | None,
                acc: KernelAccum, **params: Any) -> dict[str, Any]:
         """Algorithm + SIMT accounting body."""
+
+
+def run_reference(kernel: GPUKernel, csr: CSRGraph,
+                  coo: COOGraph | None = None, l2_bytes: int = 32 * 1024,
+                  **params: Any) -> tuple[dict[str, Any], KernelStats]:
+    """:meth:`GPUKernel.run` with the dict-based reference device L2
+    (:class:`~repro.gpu.simt.ReferenceKernelAccum`) — the test oracle."""
+    acc = ReferenceKernelAccum(l2_bytes=l2_bytes)
+    outputs = kernel.kernel(csr, coo, acc, **params)
+    return outputs, acc.stats
 
 
 def frontier_expand(acc: KernelAccum, csr: CSRGraph,

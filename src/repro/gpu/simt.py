@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..arch.cache import Cache, CacheConfig
+from ..arch.lru import lru_walk, new_state
+
 WARP_SIZE = 32
 SEGMENT = 128            # coalescing granularity in bytes
 
@@ -95,33 +98,6 @@ class KernelStats:
 _KEY_STRIDE = 1 << 45
 
 
-class _SegmentLRU:
-    """LRU over 128 B segments modelling the device L2: transactions that
-    hit stay on chip, misses count as DRAM traffic."""
-
-    __slots__ = ("cap", "_d")
-
-    def __init__(self, capacity: int):
-        self.cap = max(1, capacity)
-        self._d: dict[int, None] = {}
-
-    def access_stream(self, segs: list[int]) -> int:
-        """Run a transaction stream through the cache; returns misses."""
-        d = self._d
-        cap = self.cap
-        miss = 0
-        for s in segs:
-            if s in d:
-                del d[s]
-                d[s] = None
-            else:
-                miss += 1
-                d[s] = None
-                if len(d) > cap:
-                    del d[next(iter(d))]
-        return miss
-
-
 class KernelAccum:
     """Bulk recorder of SIMT work; produces a :class:`KernelStats`.
 
@@ -131,66 +107,23 @@ class KernelAccum:
     misses become DRAM traffic.  Replay counting stays at the warp-issue
     level — replays happen before the cache.
 
-    With ``fused=True`` (default) the L2 walk is deferred: each
-    :meth:`mem_op` banks its transaction stream and the walk happens once,
-    on :attr:`stats` access, over the concatenated stream — after a
-    vectorized prefilter drops every transaction whose segment equals the
-    immediately preceding one (a guaranteed MRU hit of the
-    fully-associative LRU, whose pop-then-reinsert changes nothing).
-    Per-call DRAM/byte attribution is preserved through chunk ids, so the
-    resulting :class:`KernelStats` is bitwise identical to the inline
-    reference, which ``fused=False`` keeps available as the oracle
-    (cross-validated in ``tests/test_gpu_simt.py``).
+    The L2 is one fully associative set of ``l2_bytes // SEGMENT`` ways
+    on the shared LRU core (:func:`repro.arch.lru.lru_walk`), walked
+    inline by every :meth:`mem_op` over its transaction stream.
+    :class:`ReferenceKernelAccum` swaps in the dict-based
+    :class:`~repro.arch.cache.Cache` as the cross-validation oracle.
     """
 
-    def __init__(self, l2_bytes: int = 32 * 1024, fused: bool = True):
-        self._stats = KernelStats()
+    def __init__(self, l2_bytes: int = 32 * 1024):
+        self.stats = KernelStats()
         self._slot_base = 0
-        self._l2 = _SegmentLRU(l2_bytes // SEGMENT)
-        self._fused = fused
-        # deferred transaction chunks: (segment array, is_write, rmw)
-        self._pending: list[tuple[np.ndarray, bool, bool]] = []
-        self._last_seg = -1     # last segment id seen, across flushes
+        self._ways = max(1, l2_bytes // SEGMENT)
+        self._l2 = new_state(1, self._ways)
 
-    @property
-    def stats(self) -> KernelStats:
-        """Accumulated counters (flushes any deferred L2 traffic)."""
-        self._flush()
-        return self._stats
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        chunks = self._pending
-        self._pending = []
-        segs = np.concatenate([c[0] for c in chunks])
-        cid = np.repeat(np.arange(len(chunks)),
-                        [len(c[0]) for c in chunks])
-        keep = np.empty(len(segs), bool)
-        keep[0] = segs[0] != self._last_seg
-        keep[1:] = segs[1:] != segs[:-1]
-        self._last_seg = int(segs[-1])
-        miss_by_chunk = [0] * len(chunks)
-        d = self._l2._d
-        cap = self._l2.cap
-        for s, c in zip(segs[keep].tolist(), cid[keep].tolist()):
-            if d.pop(s, False) is False:
-                miss_by_chunk[c] += 1
-                d[s] = None
-                if len(d) > cap:
-                    del d[next(iter(d))]
-            else:
-                d[s] = None
-        st = self._stats
-        for (_, is_write, rmw), dram in zip(chunks, miss_by_chunk):
-            st.dram_transactions += dram
-            nbytes = dram * SEGMENT
-            if is_write:
-                st.bytes_written += nbytes
-                if rmw:
-                    st.bytes_read += nbytes
-            else:
-                st.bytes_read += nbytes
+    def _l2_misses(self, segs: np.ndarray) -> int:
+        """Run one transaction stream through the L2; returns misses."""
+        return int(np.count_nonzero(
+            lru_walk(self._l2, self._ways, None, segs)))
 
     # -- compute -------------------------------------------------------------
     def uniform_op(self, active: np.ndarray, instrs: float = 1.0) -> None:
@@ -202,8 +135,8 @@ class KernelAccum:
         n = len(active)
         n_warps_active = np.add.reduceat(
             active, np.arange(0, n, WARP_SIZE)).astype(bool).sum()
-        self._stats.warp_issues += float(n_warps_active) * instrs
-        self._stats.lane_issues += float(active.sum()) * instrs
+        self.stats.warp_issues += float(n_warps_active) * instrs
+        self.stats.lane_issues += float(active.sum()) * instrs
 
     def loop(self, trips: np.ndarray, body_instrs: float = 1.0) -> None:
         """A data-dependent inner loop: thread ``i`` runs ``trips[i]``
@@ -214,8 +147,8 @@ class KernelAccum:
         if n == 0:
             return
         steps = np.maximum.reduceat(trips, np.arange(0, n, WARP_SIZE))
-        self._stats.warp_issues += float(steps.sum()) * body_instrs
-        self._stats.lane_issues += float(trips.sum()) * body_instrs
+        self.stats.warp_issues += float(steps.sum()) * body_instrs
+        self.stats.lane_issues += float(trips.sum()) * body_instrs
 
     # -- memory --------------------------------------------------------------
     def mem_op(self, slot: np.ndarray, addrs: np.ndarray,
@@ -244,17 +177,13 @@ class KernelAccum:
         ukey = np.unique(key)           # sorted: slot-major ~ program order
         n_unique = len(ukey)
         n_slots = len(np.unique(slot))
-        st = self._stats
+        st = self.stats
         st.mem_base_issues += n_slots
         st.mem_replays += n_unique - n_slots
         st.mem_lane_accesses += len(addrs)
         st.slot_transactions += n_unique
-        # DRAM traffic: the transaction stream filtered by the model L2.
-        # The fused path banks the stream for one deferred batch walk.
-        if self._fused:
-            self._pending.append((ukey % _KEY_STRIDE, is_write, rmw))
-            return
-        dram = self._l2.access_stream((ukey % _KEY_STRIDE).tolist())
+        # DRAM traffic: the transaction stream filtered by the model L2
+        dram = self._l2_misses(ukey % _KEY_STRIDE)
         st.dram_transactions += dram
         nbytes = dram * SEGMENT
         if is_write:
@@ -280,7 +209,7 @@ class KernelAccum:
         slot = np.asarray(slot, dtype=np.int64)
         addrs = np.asarray(addrs, dtype=np.int64)
         self.mem_op(slot, addrs, elem_bytes, is_write=True, rmw=True)
-        st = self._stats
+        st = self.stats
         st.atomic_ops += len(addrs)
         if len(addrs):
             pair = slot * _KEY_STRIDE + addrs % _KEY_STRIDE
@@ -295,7 +224,21 @@ class KernelAccum:
 
     def launch(self) -> None:
         """Mark one kernel launch (iteration) boundary."""
-        self._stats.launches += 1
+        self.stats.launches += 1
+
+
+class ReferenceKernelAccum(KernelAccum):
+    """:class:`KernelAccum` with the device L2 on the dict-based
+    :class:`~repro.arch.cache.Cache` (one fully associative set) — the
+    oracle the LRU-core accounting is tested against."""
+
+    def __init__(self, l2_bytes: int = 32 * 1024):
+        super().__init__(l2_bytes)
+        self._ref = Cache(CacheConfig("GPU-L2", size=self._ways * SEGMENT,
+                                      assoc=self._ways, line=SEGMENT))
+
+    def _l2_misses(self, segs: np.ndarray) -> int:
+        return int(np.count_nonzero(self._ref.simulate(None, lines=segs)))
 
 
 def slots_for_loop(trips: np.ndarray) -> tuple[np.ndarray, np.ndarray,

@@ -83,7 +83,7 @@ def clear_cache() -> None:
 
 # Per-trace scratch memos for machine sweeps over stored traces: keyed by
 # the trace's content key, holding machine-invariant sub-results (branch
-# prediction, ICache stats, replay id precompute — see CPUModel.run).
+# prediction and ICache stats — see CPUModel.run).
 # Bounded: a sweep touches few distinct traces at a time.
 _SWEEP_MEMOS: dict[str, dict] = {}
 _SWEEP_MEMO_LIMIT = 8

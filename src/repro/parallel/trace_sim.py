@@ -18,12 +18,13 @@ Used by the multicore-contention ablation bench; the single-core case
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..arch.cache import Cache, CacheStats, line_ids
+from ..arch.lru import lru_walk, new_state
+from ..arch.replay import walk_level
 from ..arch.machine import MachineConfig
 from ..core.trace import FrozenTrace
 
@@ -53,116 +54,27 @@ def _chunk_owners(n: int, p: int, chunk: int) -> np.ndarray:
     return (np.arange(n) // chunk) % p
 
 
-def _grouped_mru_skip(group: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Per-access bool: this access's key equals the previous key *in the
-    same group* (= the same core's same cache set), i.e. it probes the
-    set's MRU line — a guaranteed hit whose pop-then-reinsert leaves the
-    LRU order unchanged.  The fused engine drops such accesses from its
-    loop entirely; the multi-core analogue of
-    :func:`repro.arch.replay._mru_skip`, with the owning core folded into
-    the group id."""
-    n = len(group)
-    out = np.zeros(n, dtype=bool)
-    if n < 2:
-        return out
-    order = np.argsort(group, kind="stable")
-    g = group[order]
-    k = key[order]
-    eq = (g[1:] == g[:-1]) & (k[1:] == k[:-1])
-    out[order[1:][eq]] = True
-    return out
+def _setup(trace: FrozenTrace, machine: MachineConfig, p: int | None,
+           chunk: int) -> tuple[int, np.ndarray]:
+    """Validated core count and the per-access owner cores."""
+    if p is None:
+        p = machine.n_cores
+    if p <= 0:
+        raise ValueError("p must be positive")
+    if chunk <= 0:
+        raise ValueError("chunk must be positive")
+    return p, _chunk_owners(len(trace.addrs), p, chunk)
 
 
-def _simulate_multicore_fused(addrs: np.ndarray, owners: np.ndarray,
-                              machine: MachineConfig, p: int,
-                              agg_l1: CacheStats, agg_l2: CacheStats,
-                              l3: Cache) -> None:
-    """One global-order pass over the stream: private L1/L2 flattened to
-    ``core * n_sets + set`` slot lists, shared L3 probed inline on each L2
-    miss.
-
-    Equivalent to the per-core reference by construction: each core's
-    private levels see exactly the accesses that core owns, in program
-    order, and L2 misses fall out in ascending global position — the same
-    order the reference obtains by sorting the concatenated per-core miss
-    positions before its L3 pass.  Stats land bitwise identical.
-    """
-    m = machine
-    n1, a1 = m.l1d.n_sets, m.l1d.assoc
-    n2, a2 = m.l2.n_sets, m.l2.assoc
-    n3, a3 = m.l3.n_sets, m.l3.assoc
-    mask1, mask2, mask3 = n1 - 1, n2 - 1, n3 - 1
-    k1 = line_ids(addrs, m.l1d.line)
-    k2 = k1 if m.l2.line == m.l1d.line else line_ids(addrs, m.l2.line)
-    k3 = k1 if m.l3.line == m.l1d.line else line_ids(addrs, m.l3.line)
-    slot1 = owners.astype(np.uint64) * np.uint64(n1) + (k1 & np.uint64(mask1))
-    skip = _grouped_mru_skip(slot1, k1)
-    live = np.flatnonzero(~skip)
-
-    # core-private structures live in lazily-populated slot maps — a
-    # scaled LLC has tens of thousands of sets and p multiplies the
-    # private ones, so eager per-set dicts would dominate short replays
-    s1: defaultdict = defaultdict(dict)
-    s2: defaultdict = defaultdict(dict)
-    s3: defaultdict = defaultdict(dict)
-    mru2: dict[int, int] = {}
-    mru3 = [-1] * n3
-    m1 = m2 = m3 = 0
-    l2_of = k2.tolist()
-    l3_of = k3.tolist()
-    own = owners.tolist()
-    for i, sl, ln in zip(live.tolist(), slot1[live].tolist(),
-                         k1[live].tolist()):
-        s = s1[sl]
-        if s.pop(ln, None) is None:
-            m1 += 1
-            s[ln] = 1
-            if len(s) > a1:
-                del s[next(iter(s))]
-            ln = l2_of[i]
-            sl = own[i] * n2 + (ln & mask2)
-            if mru2.get(sl) != ln:
-                mru2[sl] = ln
-                s = s2[sl]
-                if s.pop(ln, None) is None:
-                    m2 += 1
-                    s[ln] = 1
-                    if len(s) > a2:
-                        del s[next(iter(s))]
-                    ln = l3_of[i]
-                    ix = ln & mask3
-                    if mru3[ix] != ln:
-                        mru3[ix] = ln
-                        s = s3[ix]
-                        if s.pop(ln, None) is None:
-                            m3 += 1
-                            s[ln] = 1
-                            if len(s) > a3:
-                                del s[next(iter(s))]
-                        else:
-                            s[ln] = 1
-                else:
-                    s[ln] = 1
-        else:
-            s[ln] = 1
-
-    # identical counter layout to Cache.simulate without an rw stream:
-    # every miss counts as a read miss
-    agg_l1.accesses += len(addrs)
-    agg_l1.misses += m1
-    agg_l1.read_misses += m1
-    agg_l2.accesses += m1
-    agg_l2.misses += m2
-    agg_l2.read_misses += m2
-    l3.stats.accesses += m2
-    l3.stats.misses += m3
-    l3.stats.read_misses += m3
+def _read_stats(name: str, accesses: int, misses: int) -> CacheStats:
+    """Counters of a walk without an rw stream: every miss is a read."""
+    return CacheStats(name, accesses=accesses, misses=misses,
+                      read_misses=misses)
 
 
 def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
                        p: int | None = None,
-                       chunk: int = 256,
-                       fast: bool = True) -> MulticoreCacheResult:
+                       chunk: int = 256) -> MulticoreCacheResult:
     """Replay ``trace`` as ``p`` threads with private L1/L2 + shared L3.
 
     The access stream is split block-cyclically into per-core substreams
@@ -171,31 +83,54 @@ def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
     streams interleaved chunk by chunk — the eviction interleaving that
     causes LLC contention.
 
-    ``fast=True`` (default) runs the fused single-pass engine
-    (:func:`_simulate_multicore_fused`); ``fast=False`` keeps the per-core
-    multi-pass reference, which ``tests/test_trace_sim.py`` uses as the
-    bitwise cross-validation oracle.
+    Three :func:`repro.arch.lru.lru_walk` calls in global program order:
+    every core's private L1 (L2) sets live side by side in one state
+    array, access ``i`` probing set ``owner * n_sets + set``, so each
+    core's slice sees exactly the accesses that core owns, in order; the
+    shared L3 is walked over the L2-miss stream.  Stats are bitwise
+    identical to the per-core reference
+    (:func:`simulate_multicore_reference`).
     """
-    if p is None:
-        p = machine.n_cores
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    addrs = trace.addrs
+    p, owners = _setup(trace, machine, p, chunk)
+    m = machine
+    addrs = np.asarray(trace.addrs, dtype=np.uint64)
     n = len(addrs)
+    own = owners.astype(np.uint64)
+    k1 = line_ids(addrs, m.l1d.line)
+
+    def private(cfg, idx: np.ndarray) -> np.ndarray:
+        keys = k1[idx] if cfg.line == m.l1d.line else \
+            line_ids(addrs[idx], cfg.line)
+        sets = own[idx] * np.uint64(cfg.n_sets) \
+            + (keys & np.uint64(cfg.n_sets - 1))
+        return idx[lru_walk(new_state(p * cfg.n_sets, cfg.assoc),
+                            cfg.assoc, sets, keys)]
+
+    i1 = private(m.l1d, np.arange(n))
+    i2 = private(m.l2, i1)
+    k3 = k1[i2] if m.l3.line == m.l1d.line else \
+        line_ids(addrs[i2], m.l3.line)
+    m3 = int(np.count_nonzero(walk_level(m.l3, k3)))
+    return MulticoreCacheResult(
+        p, _read_stats("L1D", n, len(i1)),
+        _read_stats("L2", len(i1), len(i2)),
+        _read_stats(m.l3.name, len(i2), m3),
+        np.bincount(owners, minlength=p).tolist())
+
+
+def simulate_multicore_reference(trace: FrozenTrace,
+                                 machine: MachineConfig,
+                                 p: int | None = None,
+                                 chunk: int = 256) -> MulticoreCacheResult:
+    """Per-core multi-pass reference of :func:`simulate_multicore` on
+    the dict-based :class:`~repro.arch.cache.Cache` (the test oracle):
+    each core's private L1/L2 replayed separately, then the merged
+    L2-miss positions through the shared L3."""
+    p, owners = _setup(trace, machine, p, chunk)
+    addrs = trace.addrs
     agg_l1 = CacheStats("L1D")
     agg_l2 = CacheStats("L2")
     l3 = Cache(machine.l3)
-    if n == 0:
-        return MulticoreCacheResult(p, agg_l1, agg_l2, l3.stats, [0] * p)
-    owners = _chunk_owners(n, p, chunk)
-    if fast:
-        per_core = np.bincount(owners, minlength=p).tolist()
-        _simulate_multicore_fused(addrs, owners, machine, p,
-                                  agg_l1, agg_l2, l3)
-        return MulticoreCacheResult(p, agg_l1, agg_l2, l3.stats, per_core)
-    # per-core private simulation, collecting L2-miss positions
     miss_positions: list[np.ndarray] = []
     per_core_accesses: list[int] = []
     for core in range(p):
@@ -203,9 +138,8 @@ def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
         per_core_accesses.append(len(idx))
         if len(idx) == 0:
             continue
-        sub = addrs[idx]
         l1 = Cache(machine.l1d)
-        m1 = l1.simulate(sub)
+        m1 = l1.simulate(addrs[idx])
         l2 = Cache(machine.l2)
         pos1 = idx[m1]
         m2 = l2.simulate(addrs[pos1]) if len(pos1) else np.zeros(0, bool)

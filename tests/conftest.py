@@ -32,3 +32,19 @@ def small_graph(small_spec):
 @pytest.fixture
 def tiny_graph(tiny_spec):
     return build(tiny_spec)
+
+
+@pytest.fixture(params=["c", "python"])
+def lru_backend(request, monkeypatch):
+    """Run a test once per LRU-core backend (the compiled C walk and the
+    pure-Python fallback); skips the C run where no compiler works."""
+    from repro.arch import lru
+    if request.param == "c":
+        try:
+            impl = lru._load_c()
+        except lru.BUILD_ERRORS as e:
+            pytest.skip(f"C backend unavailable: {e}")
+    else:
+        impl = lru._walk_py
+    monkeypatch.setattr(lru, "_impl", impl)
+    return request.param

@@ -198,6 +198,53 @@ class TestRetention:
             assert sorted(snap.vertex_ids()) == vids
 
 
+class TestSnapshotSizes:
+    """``Snapshot.n_vertices``/``n_arcs`` answer from the counts recorded
+    at commit; they must equal a scan of the lifetime spans at every
+    retained version, pinned older ones included, across compaction."""
+
+    @staticmethod
+    def _scan(store, v):
+        from repro.dynamic.store import _alive_at
+        n = sum(1 for spans in store._vspans.values() if _alive_at(spans, v))
+        m = sum(1 for row in store._out.values() for spans in row.values()
+                if _alive_at(spans, v))
+        return n, m
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 10),
+           directed=st.booleans(), max_versions=st.integers(1, 5),
+           batches=st.integers(1, 12), pin_at=st.integers(0, 12))
+    def test_counts_equal_span_scan(self, seed, n, directed, max_versions,
+                                    batches, pin_at):
+        rng = random.Random(seed)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+        store = SnapshotStore.from_edges(n, edges, directed=directed,
+                                         max_versions=max_versions)
+        pinned = None
+        for b in range(batches):
+            if b == pin_at:
+                pinned = store.snapshot()
+            ops = []
+            for _ in range(rng.randint(1, 6)):
+                kind = rng.choice(("add_vertex", "del_vertex", "add_edge",
+                                   "add_edge", "del_edge"))
+                src = rng.randrange(n + 3)
+                ops.append(MutOp(kind, src=src, dst=(src + rng.randint(
+                    1, n)) % (n + 3)) if "edge" in kind
+                    else MutOp(kind, src=src))
+            store.commit(ops)
+            for v in range(store.floor, store.head + 1):
+                with store.snapshot(v) as snap:
+                    assert (snap.n_vertices, snap.n_arcs) == \
+                        self._scan(store, v), (v, store.floor, store.head)
+        if pinned is not None:
+            assert (pinned.n_vertices, pinned.n_arcs) == \
+                self._scan(store, pinned.version)
+            pinned.close()
+        assert set(store._sizes) == set(range(store.floor, store.head + 1))
+
+
 class TestDeltaNetEffect:
     def test_add_then_del_in_one_batch_cancels(self):
         store = _store()

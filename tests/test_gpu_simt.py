@@ -7,6 +7,7 @@ from repro.gpu.simt import (
     SEGMENT,
     KernelAccum,
     KernelStats,
+    ReferenceKernelAccum,
     slots_for_loop,
     warp_of,
 )
@@ -190,9 +191,10 @@ class TestStatsAggregation:
 
 
 class TestFusedVsReference:
-    """Deferred (fused) L2 accounting against the inline reference: the
-    same op sequence driven through both modes must produce identical
-    KernelStats — including DRAM/byte attribution per mem_op flags."""
+    """L2 accounting on the LRU core against the dict-based reference
+    (:class:`ReferenceKernelAccum`): the same op sequence driven through
+    both must produce identical KernelStats — including DRAM/byte
+    attribution per mem_op flags."""
 
     @staticmethod
     def _drive(acc, seed):
@@ -218,32 +220,32 @@ class TestFusedVsReference:
     def test_random_streams_identical(self):
         import dataclasses
         for seed in range(8):
-            fused = self._drive(KernelAccum(fused=True), seed)
-            ref = self._drive(KernelAccum(fused=False), seed)
-            assert dataclasses.asdict(fused) == dataclasses.asdict(ref), seed
+            core = self._drive(KernelAccum(), seed)
+            ref = self._drive(ReferenceKernelAccum(), seed)
+            assert dataclasses.asdict(core) == dataclasses.asdict(ref), seed
 
     def test_interleaved_stats_reads(self):
-        """Reading .stats mid-kernel flushes pending chunks; the carried
-        MRU segment across flushes must keep results identical."""
+        """Stats read mid-kernel match the reference at every step: the
+        L2 state carries across mem_op calls on both sides."""
         import dataclasses
         rng = np.random.default_rng(3)
-        accs = (KernelAccum(fused=True), KernelAccum(fused=False))
+        accs = (KernelAccum(l2_bytes=16 * SEGMENT),
+                ReferenceKernelAccum(l2_bytes=16 * SEGMENT))
         for step in range(12):
             n = int(rng.integers(1, 80))
             threads = np.sort(rng.integers(0, 1 << 10, n))
-            addrs = rng.integers(0, 1 << 18, n).astype(np.int64) & ~3
+            addrs = rng.integers(0, 1 << 14, n).astype(np.int64) & ~3
             for acc in accs:
                 acc.mem_op(warp_of(threads), addrs,
                            is_write=bool(step % 3 == 0))
-            if step % 4 == 1:
-                accs[0].stats       # mid-kernel flush on the fused side
-        assert dataclasses.asdict(accs[0].stats) == \
-            dataclasses.asdict(accs[1].stats)
+            assert dataclasses.asdict(accs[0].stats) == \
+                dataclasses.asdict(accs[1].stats), step
 
     def test_all_gpu_kernels_identical(self):
         import dataclasses
         from repro.datagen.registry import make
         from repro.gpu.device import K40
+        from repro.gpu.kernels.base import run_reference
         from repro.gpu.runner import GPU_KERNELS, UNDIRECTED_KERNELS, \
             csr_to_coo
         spec = make("ldbc", scale=0.02, seed=0)
@@ -252,9 +254,7 @@ class TestFusedVsReference:
             if name in UNDIRECTED_KERNELS:
                 csr = csr.undirected()
             coo = csr_to_coo(csr)
-            _, fused = cls().run(csr, coo, l2_bytes=K40.l2_bytes,
-                                 fused=True)
-            _, ref = cls().run(csr, coo, l2_bytes=K40.l2_bytes,
-                               fused=False)
-            assert dataclasses.asdict(fused) == dataclasses.asdict(ref), \
+            _, core = cls().run(csr, coo, l2_bytes=K40.l2_bytes)
+            _, ref = run_reference(cls(), csr, coo, l2_bytes=K40.l2_bytes)
+            assert dataclasses.asdict(core) == dataclasses.asdict(ref), \
                 name

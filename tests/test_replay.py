@@ -1,7 +1,7 @@
-"""Cross-validation of the fused one-pass replay engine (repro.arch.replay)
-against the multi-pass reference simulators — including hypothesis-generated
-geometries and traces.  The reference stays in the tree as the oracle; the
-fused engine must be bitwise identical to it."""
+"""Cross-validation of the LRU-core replay (repro.arch.replay) against the
+dict-based reference simulators — including hypothesis-generated geometries
+and traces.  The reference stays in the tree as the oracle; the replay must
+be bitwise identical to it."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -88,50 +88,6 @@ class TestFusedVsReference:
         assert rep.hierarchy.l1.accesses == 0
         assert rep.tlb.accesses == 0
         assert len(rep.hierarchy.latency) == 0
-
-    def test_id_cache_reused_across_machines(self):
-        rng = np.random.default_rng(3)
-        addrs = rng.integers(0, 1 << 20, size=2000, dtype=np.uint64)
-        cache: dict = {}
-        r1 = replay(addrs, None, TEST_MACHINE, id_cache=cache)
-        live_grans = {k[1] for k in cache
-                      if isinstance(k, tuple) and k[0] == "live"}
-        assert live_grans == {64, 4096}
-        r2 = replay(addrs, None, SCALED_XEON, id_cache=cache)
-        ref1, _, _ = _reference(TEST_MACHINE, addrs, None)
-        ref2, _, _ = _reference(SCALED_XEON, addrs, None)
-        assert np.array_equal(r1.hierarchy.l1_miss, ref1.l1_miss)
-        assert np.array_equal(r2.hierarchy.l1_miss, ref2.l1_miss)
-
-    def test_l2_stage_memo_across_llc_variants(self):
-        """Machines sharing L1+L2 geometry but different L3s: replays
-        after the first reuse the memoized L2-miss stream (an L3-only
-        walk) and must stay bitwise identical to fresh references."""
-        import dataclasses
-        rng = np.random.default_rng(11)
-        addrs = rng.integers(0, 1 << 21, size=4000, dtype=np.uint64)
-        rw = rng.integers(0, 2, size=4000, dtype=np.uint8)
-        base = SCALED_XEON
-        variants = [base] + [
-            dataclasses.replace(
-                base, name=f"llc/{div}",
-                l3=dataclasses.replace(base.l3, size=base.l3.size // div))
-            for div in (2, 4, 8)]
-        cache: dict = {}
-        for m in variants:
-            rep = replay(addrs, rw, m, id_cache=cache)
-            ref, ref_tlb, ref_tlb_miss = _reference(m, addrs, rw)
-            assert np.array_equal(ref.l1_miss, rep.hierarchy.l1_miss)
-            assert np.array_equal(ref.l2_miss, rep.hierarchy.l2_miss)
-            assert np.array_equal(ref.l3_miss, rep.hierarchy.l3_miss)
-            assert np.array_equal(ref.latency, rep.hierarchy.latency)
-            assert ref.l1 == rep.hierarchy.l1
-            assert ref.l2 == rep.hierarchy.l2
-            assert ref.l3 == rep.hierarchy.l3
-            assert np.array_equal(ref_tlb_miss, rep.tlb_miss)
-            assert ref_tlb == rep.tlb
-        assert any(isinstance(k, tuple) and k[0] == "l2stage"
-                   for k in cache)
 
 
 class TestCpuModelFastPath:

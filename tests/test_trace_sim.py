@@ -11,6 +11,7 @@ from repro.parallel.trace_sim import (
     _chunk_owners,
     llc_contention,
     simulate_multicore,
+    simulate_multicore_reference,
 )
 
 
@@ -112,14 +113,14 @@ class TestLLCContention:
 
 
 class TestFusedVsReference:
-    """The fused single-pass engine (``fast=True``, the default) against
-    the per-core multi-pass reference (``fast=False``, the oracle):
-    aggregate L1/L2 and shared-L3 stats must be bitwise identical."""
+    """The LRU-core engine against the per-core multi-pass reference
+    (:func:`simulate_multicore_reference`, the oracle): aggregate L1/L2
+    and shared-L3 stats must be bitwise identical."""
 
     def _assert_match(self, ft, machine, p, chunk=256):
-        fused = simulate_multicore(ft, machine, p=p, chunk=chunk, fast=True)
-        ref = simulate_multicore(ft, machine, p=p, chunk=chunk, fast=False)
-        assert fused == ref, (p, chunk, fused, ref)
+        core = simulate_multicore(ft, machine, p=p, chunk=chunk)
+        ref = simulate_multicore_reference(ft, machine, p=p, chunk=chunk)
+        assert core == ref, (p, chunk, core, ref)
 
     def test_random_traces(self):
         for seed in range(4):
